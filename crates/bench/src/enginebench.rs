@@ -161,19 +161,22 @@ pub const TRAJECTORY_INGEST_RANKS: usize = 4;
 pub const TRAJECTORY_INGEST_TRANSFERS: usize = 2_000;
 
 /// Result of the streaming-ingest throughput probe: how fast `overlapd`'s
-/// fold ([`overlap_core::stream::SessionFold`]) consumes JSONL event lines,
-/// and what it allocates per line once the session is warm.
+/// fold ([`overlap_core::stream::SessionFold`]) consumes a JSONL stream
+/// pushed into a fresh session, and what it allocates doing so.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct IngestBench {
     /// Raw event lines folded in the measured pass.
     pub events: u64,
-    /// Folded event lines per host second (parse + fold, steady state).
+    /// Folded event lines per host second (parse + fold).
     pub events_per_sec: f64,
-    /// Allocation calls per folded event line during the measured pass. The
-    /// session, scopes, ranks, and the name-intern pool already exist when
-    /// measurement starts, so this is the steady-state number — the direct
-    /// check that server memory stays bounded per event rather than growing
-    /// with stream length. Reads 0 in binaries without
+    /// Every line of the measured pass (header, events, bound and wait
+    /// records).
+    pub lines: u64,
+    /// Lines per host second (parse + fold).
+    pub lines_per_sec: f64,
+    /// Allocation calls per raw event line during the measured pass,
+    /// session set-up included: the check that server memory grows with
+    /// scopes and ranks, not with stream length. Reads 0 in binaries without
     /// [`crate::alloc::CountingAlloc`] installed.
     pub allocs_per_event: f64,
 }
@@ -239,20 +242,23 @@ pub fn ingest_stream(ranks: usize, transfers: usize) -> String {
     }])
 }
 
-/// Run the streaming-ingest probe: fold the synthetic stream once to warm
-/// the session (scopes, ranks, intern pool, ring allocations), then measure
-/// a second pass of the same stream through the *same* session — the
-/// steady-state regime a long-lived server lives in.
+/// Run the streaming-ingest probe: push the synthetic stream into a fresh
+/// session, the way `overlapd` meets every new push. (Re-pushing one stream
+/// into a warm session is no steady state: its stamps run behind the fold
+/// cursor, so nearly every event is counted as clock skew and skips the
+/// interval sweep.) The name-intern pool is warmed first, since it is
+/// process-global and outlives sessions.
 pub fn ingest_throughput(ranks: usize, transfers: usize) -> IngestBench {
     use overlap_core::stream::SessionFold;
 
     let text = ingest_stream(ranks, transfers);
-    let mut session = SessionFold::default();
-    session
+    SessionFold::default()
         .push_text(&text)
         .expect("synthetic stream is schema-valid");
     let events = (ranks * transfers * 6) as u64;
+    let lines = text.lines().count() as u64;
 
+    let mut session = SessionFold::default();
     let a0 = crate::alloc::snapshot();
     let start = Instant::now();
     session
@@ -260,10 +266,13 @@ pub fn ingest_throughput(ranks: usize, transfers: usize) -> IngestBench {
         .expect("synthetic stream is schema-valid");
     let secs = start.elapsed().as_secs_f64();
     let (calls, _) = crate::alloc::region(a0, crate::alloc::snapshot());
+    debug_assert_eq!(session.event_lines(), events);
 
     IngestBench {
         events,
         events_per_sec: events as f64 / secs,
+        lines,
+        lines_per_sec: lines as f64 / secs,
         allocs_per_event: calls as f64 / events as f64,
     }
 }
@@ -409,7 +418,10 @@ mod tests {
     fn ingest_probe_folds_and_reports_positive_rate() {
         let r = ingest_throughput(2, 50);
         assert_eq!(r.events, 2 * 50 * 6);
+        // One header line, then 6 event, 1 bound and 1 wait line per transfer.
+        assert_eq!(r.lines, 1 + 2 * 50 * 8);
         assert!(r.events_per_sec > 0.0);
+        assert!(r.lines_per_sec > r.events_per_sec);
         // Without the counting allocator installed (as in `cargo test`) the
         // counter reads 0; either way the number must be finite and small
         // relative to a per-event leak.
