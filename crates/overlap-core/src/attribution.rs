@@ -378,16 +378,38 @@ pub fn attribute_parts(
 /// * histogram `attr_ns_hist/<cause>` — per-transfer slice sizes on the
 ///   default latency ladder.
 pub fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRegistry) {
+    // Accumulate per (cause, bin) first and name each key once: a rank has
+    // thousands of slices but at most causes × bins distinct keys.
+    let nbins = bins.count();
+    let mut slices = vec![(0u64, 0u64); WaitCause::ALL.len() * nbins];
+    let mut hists: Vec<Option<Histogram>> = vec![None; WaitCause::ALL.len()];
     for r in &attr.records {
-        let bin = bins.label(bins.index(r.bytes));
+        let bin = bins.index(r.bytes);
         for s in &r.breakdown {
-            reg.inc(&format!("attr_ns/{}/{}", s.cause.label(), bin), s.ns);
-            reg.inc(&format!("attr_xfers/{}", s.cause.label()), 1);
-            reg.observe(
-                &format!("attr_ns_hist/{}", s.cause.label()),
-                s.ns,
-                Histogram::latency_default,
-            );
+            let c = s.cause.idx();
+            let (ns, n) = &mut slices[c * nbins + bin];
+            *ns += s.ns;
+            *n += 1;
+            hists[c]
+                .get_or_insert_with(Histogram::latency_default)
+                .observe(s.ns);
+        }
+    }
+    for (cause, hist) in WaitCause::ALL.into_iter().zip(hists) {
+        let Some(hist) = hist else { continue };
+        let label = cause.label();
+        let per_bin = &slices[cause.idx() * nbins..][..nbins];
+        for (bin, &(ns, n)) in per_bin.iter().enumerate() {
+            if n > 0 {
+                reg.inc(&format!("attr_ns/{label}/{}", bins.label(bin)), ns);
+            }
+        }
+        reg.inc(&format!("attr_xfers/{label}"), hist.count());
+        match reg.histograms.entry(format!("attr_ns_hist/{label}")) {
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(hist);
+            }
+            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&hist),
         }
     }
 }
@@ -683,5 +705,79 @@ mod tests {
             reg.histogram("attr_ns_hist/late_sender").unwrap().count(),
             1
         );
+    }
+
+    #[test]
+    fn fold_metrics_equals_a_per_slice_fold() {
+        // The straightforward fold: one counter/histogram update per slice.
+        fn per_slice(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRegistry) {
+            for r in &attr.records {
+                let bin = bins.label(bins.index(r.bytes));
+                for s in &r.breakdown {
+                    reg.inc(&format!("attr_ns/{}/{}", s.cause.label(), bin), s.ns);
+                    reg.inc(&format!("attr_xfers/{}", s.cause.label()), 1);
+                    reg.observe(
+                        &format!("attr_ns_hist/{}", s.cause.label()),
+                        s.ns,
+                        Histogram::latency_default,
+                    );
+                }
+            }
+        }
+        let records = (0..200u64)
+            .map(|i| CauseRecord {
+                id: Some(i),
+                bytes: 1 << (i % 24),
+                xfer_time: 1_000,
+                max_overlap: 0,
+                nonoverlap: 1_000,
+                flagged: false,
+                breakdown: WaitCause::ALL
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, _)| !(i as usize + c).is_multiple_of(3))
+                    // Zero-ns slices and repeated causes still name keys.
+                    .map(|(c, &cause)| CauseSlice {
+                        cause,
+                        ns: (i * 37 + c as u64 * 1_009) % 5_000 * (i % 4),
+                    })
+                    .chain([CauseSlice {
+                        cause: WaitCause::Sync,
+                        ns: i,
+                    }])
+                    .collect(),
+            })
+            .collect::<Vec<_>>();
+        // A lone zero-ns slice still names its keys.
+        let lone_zero = vec![CauseRecord {
+            id: None,
+            bytes: 2048,
+            xfer_time: 0,
+            max_overlap: 0,
+            nonoverlap: 0,
+            flagged: false,
+            breakdown: vec![CauseSlice {
+                cause: WaitCause::Registration,
+                ns: 0,
+            }],
+        }];
+        for records in [records, lone_zero] {
+            let attr = RankAttribution {
+                rank: 0,
+                records,
+                totals: BTreeMap::new(),
+                wait_intervals: 0,
+            };
+            for bins in [SizeBins::default(), SizeBins::short_long(4096)] {
+                // Start from a registry that already holds some of the keys.
+                let mut seed = MetricsRegistry::new();
+                seed.inc("attr_xfers/sync", 3);
+                seed.observe("attr_ns_hist/sync", 77, Histogram::latency_default);
+                let (mut fast, mut slow) = (seed.clone(), seed);
+                fold_metrics(&attr, &bins, &mut fast);
+                per_slice(&attr, &bins, &mut slow);
+                assert_eq!(fast, slow);
+            }
+        }
     }
 }

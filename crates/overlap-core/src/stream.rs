@@ -32,6 +32,13 @@
 //! at [`INTERN_CAP`] distinct names; a line that would add a name beyond
 //! the cap is refused and changes nothing.
 //!
+//! **Views are a function of the accepted lines.** [`SessionFold::lines`]
+//! counts accepted lines and serves as the session's generation: a refused
+//! line changes nothing, and a read folds the ring early without changing
+//! what any later read returns (`ring_folds` counts the folds the pushed
+//! events force, not the reads). `overlapd` keeps each served body for as
+//! long as the generation holds.
+//!
 //! **Ingest cost.** [`parse_line`] builds no JSON tree for the lines the
 //! in-tree exporter writes. A borrowed scanner reads them in the
 //! exporter's fixed key order, straight into a [`StreamLine`] whose scope
@@ -591,6 +598,10 @@ struct RankFold {
     /// Reusable drain buffer so steady-state folding never allocates.
     scratch: Vec<Event>,
     ring_folds: u64,
+    /// Events pushed since the last counted fold. A read drains the ring
+    /// early; counting folds off this instead of the ring's fill keeps
+    /// `ring_folds` a function of the pushed events alone.
+    unfolded: usize,
     events_seen: u64,
     /// Max event timestamp seen (what the batch trace calls the rank's last
     /// stamp; closes a trailing open call span).
@@ -635,6 +646,7 @@ impl RankFold {
             ring: EventRing::new(ring_capacity),
             scratch: Vec::with_capacity(ring_capacity),
             ring_folds: 0,
+            unfolded: 0,
             events_seen: 0,
             last_event_t: 0,
             depth: 0,
@@ -671,8 +683,12 @@ impl RankFold {
     fn push_event(&mut self, e: Event) {
         self.events_seen += 1;
         self.last_event_t = self.last_event_t.max(e.t);
-        if let Err(rejected) = self.ring.push(e) {
+        if self.unfolded == self.ring.capacity() {
             self.ring_folds += 1;
+            self.unfolded = 0;
+        }
+        self.unfolded += 1;
+        if let Err(rejected) = self.ring.push(e) {
             self.flush_ring();
             // Capacity >= 2, so the push cannot fail on an empty ring.
             let _ = self.ring.push(rejected.0);
@@ -1080,6 +1096,14 @@ impl SessionFold {
     }
 
     /// Total non-empty lines accepted so far (header lines included).
+    ///
+    /// This is the session's generation. Every accepted line bumps it, and
+    /// a refused line changes no state. Reads fold the ring early but never
+    /// change what they return, so every read view ([`SessionFold::report`],
+    /// [`SessionFold::series`], [`SessionFold::wait_states`],
+    /// [`SessionFold::attribution`], [`SessionFold::collapsed`]) is a
+    /// function of the accepted lines, and a caller may keep a built view
+    /// for as long as `lines()` is unchanged.
     pub fn lines(&self) -> u64 {
         self.lines
     }
@@ -1511,6 +1535,33 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&s.report()).unwrap(),
             serde_json::to_string(&clean.report()).unwrap()
+        );
+    }
+
+    #[test]
+    fn mid_stream_reads_leave_ring_folds_alone() {
+        let b = sample_bundle();
+        let text = jsonl(std::slice::from_ref(&b));
+        let tiny = || {
+            SessionFold::new(FoldOpts {
+                ring_capacity: 2,
+                bins: SizeBins::default(),
+            })
+        };
+        let mut clean = tiny();
+        clean.push_text(&text).unwrap();
+        // A read after every line drains the ring each time; the served
+        // report must still equal the unread fold's, fold count included.
+        let mut read = tiny();
+        for l in text.lines() {
+            read.push_line(l).unwrap();
+            let _ = read.report();
+        }
+        let (read_r, clean_r) = (read.report(), clean.report());
+        assert!(clean_r[0].ranks[0].ring_folds > 0);
+        assert_eq!(
+            serde_json::to_string(&read_r).unwrap(),
+            serde_json::to_string(&clean_r).unwrap()
         );
     }
 }

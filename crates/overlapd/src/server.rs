@@ -22,10 +22,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use overlap_core::stream::StreamError;
-
 use crate::http;
-use crate::service::Service;
+use crate::service::{lock, Service, Session, View};
 
 /// Largest accepted ingest frame, bytes. Bounds per-connection buffering;
 /// clients split at line boundaries well below this.
@@ -155,10 +153,8 @@ fn serve_framed<R: BufRead, W: Write>(
         }
     };
     let session = service.session(&session_name);
-    let before = session
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .event_lines();
+    let mut events = 0;
+    let mut fold = |bytes: &[u8]| push_bytes(&session, bytes).map(|n| events += n);
     let mut carry: Vec<u8> = Vec::new();
     loop {
         let mut len_buf = [0u8; 4];
@@ -189,35 +185,29 @@ fn serve_framed<R: BufRead, W: Write>(
             Some(i) => i + 1,
             None => continue,
         };
-        if let Err(e) = push_bytes(&session, &carry[..cut]) {
+        if let Err(e) = fold(&carry[..cut]) {
             writer.write_all(format!("err {e}\n").as_bytes())?;
             return writer.flush();
         }
         carry.drain(..cut);
     }
     if !carry.is_empty() {
-        if let Err(e) = push_bytes(&session, &carry) {
+        if let Err(e) = fold(&carry) {
             writer.write_all(format!("err {e}\n").as_bytes())?;
             return writer.flush();
         }
     }
-    let after = session
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .event_lines();
-    writer.write_all(format!("ok events={}\n", after - before).as_bytes())?;
+    writer.write_all(format!("ok events={events}\n").as_bytes())?;
     writer.flush()
 }
 
-/// Fold a block of complete lines into the session. Returns the one-line
-/// reason on refusal.
-fn push_bytes(
-    session: &Mutex<overlap_core::stream::SessionFold>,
-    bytes: &[u8],
-) -> Result<(), String> {
+/// Fold a block of complete lines into the session. Returns the event
+/// lines this call folded, counted under the session lock so a concurrent
+/// push into the same session cannot inflate it, or the one-line reason
+/// on refusal.
+fn push_bytes(session: &Mutex<Session>, bytes: &[u8]) -> Result<u64, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| format!("stream is not UTF-8: {e}"))?;
-    let mut s = session.lock().unwrap_or_else(|e| e.into_inner());
-    s.push_text(text).map_err(|e: StreamError| e.to_string())
+    lock(session).push_text(text).map_err(|e| e.to_string())
 }
 
 /// The HTTP path: one request, one response.
@@ -247,18 +237,12 @@ fn serve_http<R: BufRead, W: Write>(
         ("POST", ["v1", "sessions", name]) => {
             let session = service.session(name);
             match push_bytes(&session, &req.body) {
-                Ok(()) => {
-                    let events = session
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .event_lines();
-                    http::respond(
-                        writer,
-                        200,
-                        Some("text/plain"),
-                        format!("ok events={events}\n").as_bytes(),
-                    )
-                }
+                Ok(events) => http::respond(
+                    writer,
+                    200,
+                    Some("text/plain"),
+                    format!("ok events={events}\n").as_bytes(),
+                ),
                 Err(e) => {
                     http::respond(writer, 400, Some("text/plain"), format!("{e}\n").as_bytes())
                 }
@@ -268,40 +252,30 @@ fn serve_http<R: BufRead, W: Write>(
             let Some(session) = service.get(name) else {
                 return http::respond(writer, 404, Some("text/plain"), b"no such session\n");
             };
-            let mut s = session.lock().unwrap_or_else(|e| e.into_inner());
-            match *what {
-                "report" => json(writer, &s.report()),
-                "series" => {
-                    let width = match req.query.get("window_ns") {
-                        Some(v) => match v.parse::<u64>() {
-                            Ok(n) if n > 0 => Some(n),
-                            _ => {
-                                return http::respond(
-                                    writer,
-                                    400,
-                                    Some("text/plain"),
-                                    b"window_ns must be a positive integer\n",
-                                )
-                            }
-                        },
-                        None => None,
-                    };
-                    json(writer, &s.series(width))
-                }
-                "waits" => json(writer, &s.wait_states()),
-                // The artifact endpoints serve the exact batch file bytes:
-                // pretty JSON for the attribution artifact, plain text for
-                // the collapsed stacks.
-                "attribution.json" => {
-                    let art = s.attribution(name);
-                    let body = serde_json::to_string_pretty(&art).expect("artifact serializes");
-                    http::respond(writer, 200, None, body.as_bytes())
-                }
-                "critpath.folded" => {
-                    http::respond(writer, 200, Some("text/plain"), s.collapsed().as_bytes())
-                }
-                _ => http::respond(writer, 404, Some("text/plain"), b"unknown endpoint\n"),
-            }
+            let view = match *what {
+                "report" => View::Report,
+                "series" => match req.query.get("window_ns").map(|v| v.parse::<u64>()) {
+                    None => View::Series(None),
+                    Some(Ok(n)) if n > 0 => View::Series(Some(n)),
+                    Some(_) => {
+                        return http::respond(
+                            writer,
+                            400,
+                            Some("text/plain"),
+                            b"window_ns must be a positive integer\n",
+                        )
+                    }
+                },
+                "waits" => View::Waits,
+                "attribution.json" => View::Attribution,
+                "critpath.folded" => View::Collapsed,
+                _ => return http::respond(writer, 404, Some("text/plain"), b"unknown endpoint\n"),
+            };
+            // Build (or fetch) the body under the session lock; write it
+            // after the lock is released, so a slow reader stalls neither
+            // pushes into the session nor the fleet view.
+            let body = lock(&session).view(view);
+            http::respond(writer, 200, view.content_type(), &body)
         }
         (_, ["healthz" | "v1", ..]) => {
             http::respond(writer, 405, Some("text/plain"), b"method not allowed\n")
@@ -313,4 +287,84 @@ fn serve_http<R: BufRead, W: Write>(
 fn json<W: Write, T: serde::Serialize>(writer: &mut W, value: &T) -> io::Result<()> {
     let body = serde_json::to_string(value).expect("endpoint value serializes");
     http::respond(writer, 200, None, body.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// A response sink whose first write parks until the test releases it.
+    struct ParkedWriter {
+        parked: Sender<()>,
+        release: Receiver<()>,
+        waited: bool,
+        out: Vec<u8>,
+    }
+
+    impl Write for ParkedWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.waited {
+                self.waited = true;
+                self.parked.send(()).unwrap();
+                self.release.recv().unwrap();
+            }
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn get_writes_the_response_after_releasing_the_session_lock() {
+        let service = Service::default();
+        let text = format!(
+            "{{\"ev\":\"header\",\"schema_version\":{}}}\n\
+             {{\"scope\":\"s\",\"rank\":0,\"t\":5,\"ev\":\"call_exit\"}}\n",
+            overlap_core::trace::SCHEMA_VERSION
+        );
+        service
+            .session("a")
+            .lock()
+            .unwrap()
+            .push_text(&text)
+            .unwrap();
+        let handle = ServerHandle {
+            addr: "127.0.0.1:9".parse().unwrap(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
+        for path in [
+            "/v1/sessions/a/report",
+            "/v1/sessions/a/series?window_ns=3",
+            "/v1/sessions/a/critpath.folded",
+            "/v1/fleet",
+        ] {
+            let request = format!("GET {path} HTTP/1.1\r\n\r\n");
+            let (parked_tx, parked_rx) = channel();
+            let (release_tx, release_rx) = channel();
+            let mut writer = ParkedWriter {
+                parked: parked_tx,
+                release: release_rx,
+                waited: false,
+                out: Vec::new(),
+            };
+            let unlocked_while_writing = std::thread::scope(|scope| {
+                let serving = scope
+                    .spawn(|| serve_http(&mut request.as_bytes(), &mut writer, &service, &handle));
+                parked_rx.recv().unwrap();
+                let unlocked = service.get("a").unwrap().try_lock().is_ok();
+                release_tx.send(()).unwrap();
+                serving.join().unwrap().unwrap();
+                unlocked
+            });
+            assert!(
+                unlocked_while_writing,
+                "{path}: session locked while the response is being written"
+            );
+            assert!(writer.out.starts_with(b"HTTP/1.1 200 OK\r\n"), "{path}");
+        }
+    }
 }

@@ -6,7 +6,8 @@
 //!   session's) produce per-session reports byte-identical to pushing the
 //!   same streams serially — and to a local in-process fold;
 //! * the fleet view equals the merged view of the same streams folded
-//!   locally through [`overlapd::Service`];
+//!   locally through [`overlapd::Service`], also after a further push into
+//!   an existing session;
 //! * the `repro push` CLI exits 0 on success and 2 when the server refuses
 //!   the stream (missing/mismatched `schema_version`).
 
@@ -16,7 +17,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use overlap_core::stream::SessionFold;
 use overlap_core::trace::jsonl;
-use overlapd::{push_text, Server, Service};
+use overlap_core::{MetricsRegistry, OverlapStats};
+use overlapd::{push_text, FleetView, Server, Service};
 
 /// Serialize tests: `tracecap` is process-global.
 fn global_lock() -> MutexGuard<'static, ()> {
@@ -86,6 +88,31 @@ fn line_chunks(text: &str, lines_per_chunk: usize) -> Vec<String> {
             s
         })
         .collect()
+}
+
+/// The fleet view merged rank by rank from each session's full report.
+fn rank_by_rank_fleet(sessions: &mut [(&str, &mut SessionFold)]) -> FleetView {
+    let mut view = FleetView {
+        sessions: Vec::new(),
+        scopes: 0,
+        ranks: 0,
+        events: 0,
+        total: OverlapStats::default(),
+        metrics: MetricsRegistry::new(),
+    };
+    for (name, fold) in sessions.iter_mut() {
+        view.sessions.push(name.to_string());
+        for scope in fold.report() {
+            view.scopes += 1;
+            for rank in &scope.ranks {
+                view.ranks += 1;
+                view.events += rank.events_seen;
+                view.total.merge(&rank.total);
+                view.metrics.merge(&rank.metrics);
+            }
+        }
+    }
+    view
 }
 
 #[test]
@@ -171,6 +198,39 @@ fn interleaved_concurrent_pushes_match_serial_and_local_folds() {
             .unwrap()
             .into_bytes(),
         "fleet view diverges from the merged local folds"
+    );
+
+    // A second push into an existing session moves that session's fleet
+    // partial to a new generation; the fleet follows it.
+    let more = bench::enginebench::ingest_stream(2, 40);
+    push_text(&addr, "probe", &more).expect("second probe push");
+    expected
+        .session("probe")
+        .lock()
+        .unwrap()
+        .push_text(&more)
+        .unwrap();
+    let (st, fleet_after) = http(&addr, "GET", "/v1/fleet");
+    assert_eq!(st, 200);
+    assert_ne!(fleet_after, fleet, "fleet view is stale after a push");
+    assert_eq!(
+        fleet_after,
+        serde_json::to_string(&expected.fleet())
+            .unwrap()
+            .into_bytes(),
+        "fleet view diverges from the merged local folds after a second push"
+    );
+    // And it equals a rank-by-rank merge of full local reports.
+    ref_probe.push_text(&more).unwrap();
+    assert_eq!(
+        fleet_after,
+        serde_json::to_string(&rank_by_rank_fleet(&mut [
+            ("fig03", &mut ref_fig),
+            ("probe", &mut ref_probe)
+        ]))
+        .unwrap()
+        .into_bytes(),
+        "fleet view diverges from a rank-by-rank merge"
     );
 
     handle.shutdown();
